@@ -238,10 +238,11 @@ pub fn extent_oplog(seed: u64, ops: u64) -> String {
     let mut m = ExtentMap::new();
     let mut next_block: u64 = 0;
     let mut out = String::new();
-    let blocks_str = |blocks: &[BlockNr]| {
-        blocks
-            .iter()
-            .map(|b| b.raw().to_string())
+    // Runs render as the block lists they cover, in order.
+    let blocks_str = |runs: &[Run]| {
+        runs.iter()
+            .flat_map(|r| r.start.raw()..r.start.raw() + r.len)
+            .map(|b| b.to_string())
             .collect::<Vec<_>>()
             .join(",")
     };

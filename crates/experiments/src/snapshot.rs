@@ -179,9 +179,11 @@ thread_local! {
 /// The prepared stack for `cfg`: a fork of this thread's pristine
 /// snapshot when an identical prefix was already built, a fresh (and
 /// memoized) build otherwise. With `DUET_SNAPSHOT=0` every call builds
-/// from scratch and nothing is memoized.
+/// from scratch and nothing is memoized; a `DUET_SNAPSHOT` other than
+/// unset, `0` or `1` is an [`InvalidArgument`](sim_core::SimError)
+/// error.
 pub fn obtain(cfg: &ExperimentConfig) -> SimResult<PreparedStack> {
-    if !sim_core::snapshot::enabled() {
+    if !sim_core::snapshot::enabled()? {
         return prepare(cfg);
     }
     STORE.with(|s| {
@@ -258,7 +260,7 @@ mod tests {
         // Counters only move when warm-start is on; the digest
         // equalities above must hold either way (that is the point of
         // the `DUET_SNAPSHOT=0` escape hatch).
-        if sim_core::snapshot::enabled() {
+        if sim_core::snapshot::enabled() == Ok(true) {
             let (hits, misses) = warm_stats();
             assert!(hits >= 2, "hits {hits}");
             assert!(misses >= 1, "misses {misses}");

@@ -162,6 +162,9 @@ impl FreeSpace {
     }
 
     /// Returns a range to the free pool, coalescing with neighbours.
+    /// Callers release whole runs at once (DESIGN.md §13.5): since the
+    /// map is always coalesced, freeing a run in one call or block by
+    /// block, in any order, leaves the same map.
     ///
     /// # Panics
     ///
@@ -171,37 +174,32 @@ impl FreeSpace {
         assert!(len > 0, "zero-length free");
         let s = start.raw();
         assert!(s + len <= self.capacity, "free past end of device");
-        // Check overlap with the previous and next free ranges.
-        if let Some((&ps, &plen)) = self.free.range(..=s).next_back() {
+        // The floor and ceiling neighbours must not overlap the range;
+        // once they pass, they are also the only coalescing candidates.
+        let prev = self.free.floor(&s).map(|(&ps, &plen)| (ps, plen));
+        if let Some((ps, plen)) = prev {
             assert!(ps + plen <= s, "double free at {start}");
         }
-        if let Some((&ns, _)) = self.free.range(s..).next() {
+        let next = self.free.ceil(&s).map(|(&ns, &nlen)| (ns, nlen));
+        if let Some((ns, _)) = next {
             assert!(s + len <= ns, "double free at {start}");
         }
-        let mut new_start = s;
-        let mut new_len = len;
-        // Coalesce with predecessor.
-        if let Some((&ps, &plen)) = self.free.range(..s).next_back() {
-            if ps + plen == s {
-                self.free.remove(&ps);
-                new_start = ps;
-                new_len += plen;
+        let mut grow = len;
+        if let Some((ns, nlen)) = next.filter(|&(ns, _)| ns == s + len) {
+            self.free.remove(&ns);
+            grow += nlen;
+        }
+        match prev.filter(|&(ps, plen)| ps + plen == s) {
+            Some((ps, _)) => {
+                if let Some(plen) = self.free.get_mut(&ps) {
+                    *plen += grow;
+                }
+            }
+            None => {
+                self.free.insert(s, grow);
             }
         }
-        // Coalesce with successor.
-        if let Some((&ns, &nlen)) = self.free.range(s + len..).next() {
-            if s + len == ns {
-                self.free.remove(&ns);
-                new_len += nlen;
-            }
-        }
-        self.free.insert(new_start, new_len);
         self.free_blocks += len;
-    }
-
-    /// Frees a single block.
-    pub fn free_block(&mut self, b: BlockNr) {
-        self.free_range(b, 1);
     }
 
     /// Iterates over allocated ranges in ascending physical order — the
@@ -331,6 +329,33 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_inside_a_run_panics() {
+        let mut fs = FreeSpace::new(32);
+        fs.alloc(32).unwrap();
+        fs.free_range(BlockNr(15), 1);
+        fs.free_range(BlockNr(10), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_across_runs_panics() {
+        let mut fs = FreeSpace::new(32);
+        fs.alloc(32).unwrap();
+        fs.free_range(BlockNr(10), 10);
+        fs.free_range(BlockNr(15), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn double_free_reaching_into_the_next_run_panics() {
+        let mut fs = FreeSpace::new(32);
+        fs.alloc(32).unwrap();
+        fs.free_range(BlockNr(10), 10);
+        fs.free_range(BlockNr(5), 6);
+    }
+
+    #[test]
     fn exhaustion() {
         let mut fs = FreeSpace::new(5);
         let _ = fs.alloc_exact(5).unwrap();
@@ -374,6 +399,62 @@ mod tests {
                     let alloc_total: u64 = fs.allocated_ranges().iter().map(|r| r.len).sum();
                     assert_eq!(alloc_total, fs.allocated_blocks());
                 }
+            }
+        }
+
+        fn free_map(fs: &FreeSpace) -> Vec<(u64, u64)> {
+            fs.free.iter().map(|(&s, &l)| (s, l)).collect()
+        }
+
+        /// Freeing a set of blocks one at a time and as coalesced runs,
+        /// each in a shuffled order, leaves identical free maps.
+        #[test]
+        fn run_frees_equal_block_frees_in_any_order() {
+            const CAP: u64 = 512;
+            for case in 0..64u64 {
+                let mut rng = SimRng::new(0xF4EE ^ case);
+                let mut start = FreeSpace::new(CAP);
+                start.alloc(CAP).unwrap();
+                // Pre-existing holes, so frees coalesce with old ranges.
+                let mut allocated: Vec<u64> = Vec::new();
+                for b in 0..CAP {
+                    if rng.gen_range(0, 8) == 0 {
+                        start.free_range(BlockNr(b), 1);
+                    } else {
+                        allocated.push(b);
+                    }
+                }
+                let chosen: Vec<u64> = allocated
+                    .into_iter()
+                    .filter(|_| rng.gen_range(0, 2) == 0)
+                    .collect();
+                let mut runs: Vec<Run> = Vec::new();
+                for &b in &chosen {
+                    match runs.last_mut() {
+                        Some(r) if r.start.raw() + r.len == b => r.len += 1,
+                        _ => runs.push(Run {
+                            start: BlockNr(b),
+                            len: 1,
+                        }),
+                    }
+                }
+                let mut blocks = chosen.clone();
+                rng.shuffle(&mut blocks);
+                rng.shuffle(&mut runs);
+                let mut by_block = start.clone();
+                for b in blocks {
+                    by_block.free_range(BlockNr(b), 1);
+                }
+                let mut by_run = start.clone();
+                for r in runs {
+                    by_run.free_range(r.start, r.len);
+                }
+                assert_eq!(free_map(&by_block), free_map(&by_run), "case {case}");
+                assert_eq!(by_block.free_blocks(), by_run.free_blocks());
+                assert_eq!(
+                    by_run.free_blocks(),
+                    start.free_blocks() + chosen.len() as u64
+                );
             }
         }
     }

@@ -24,6 +24,14 @@ pub struct Extent {
 }
 
 impl Extent {
+    /// The physical blocks backing the extent.
+    pub fn run(&self) -> Run {
+        Run {
+            start: self.physical,
+            len: self.len,
+        }
+    }
+
     /// Physical block backing logical page `page`, if within the extent.
     fn block_of(&self, page: u64) -> Option<BlockNr> {
         if page >= self.logical && page < self.logical + self.len {
@@ -37,7 +45,7 @@ impl Extent {
 /// Sorted extent map of one file.
 ///
 /// Backed by [`DOrdMap`] — the FIBMAP translation is a floor query
-/// (`range(..=p).next_back()`) and COW splits walk neighbours, so the
+/// (`floor(p)`) and COW splits walk neighbours, so the
 /// map must stay ordered; the chunked-sorted-vector layout keeps those
 /// queries O(log n) with dense iteration (DESIGN.md §13).
 #[derive(Debug, Clone, Default)]
@@ -82,10 +90,7 @@ impl ExtentMap {
     /// translation of §4.2.
     pub fn block_of(&self, page: PageIndex) -> Option<BlockNr> {
         let p = page.raw();
-        self.map
-            .range(..=p)
-            .next_back()
-            .and_then(|(_, e)| e.block_of(p))
+        self.map.floor(&p).and_then(|(_, e)| e.block_of(p))
     }
 
     /// Iterates extents in logical order.
@@ -94,14 +99,15 @@ impl ExtentMap {
     }
 
     /// Removes the logical range `[start, start+len)`, returning the
-    /// physical blocks that were unmapped (for refcount release).
+    /// physical runs that were unmapped (for refcount release), one per
+    /// overlapping extent, from the highest logical offset down.
     /// Overlapping extents are trimmed or split.
-    pub fn unmap_range(&mut self, start: u64, len: u64) -> Vec<BlockNr> {
+    pub fn unmap_range(&mut self, start: u64, len: u64) -> Vec<Run> {
         if len == 0 {
             return Vec::new();
         }
         let end = start + len;
-        let mut removed_blocks = Vec::new();
+        let mut removed = Vec::new();
         // Collect keys of extents overlapping [start, end): their
         // logical start is < end, and their end is > start.
         let overlapping: Vec<u64> = self
@@ -139,21 +145,22 @@ impl ExtentMap {
                     },
                 );
             }
-            // Middle: unmapped blocks.
+            // Middle: the unmapped run.
             let cut_from = start.max(e.logical);
             let cut_to = end.min(e_end);
-            for p in cut_from..cut_to {
-                let off = p - e.logical;
-                removed_blocks.push(BlockNr(e.physical.raw() + off));
-            }
+            removed.push(Run {
+                start: BlockNr(e.physical.raw() + (cut_from - e.logical)),
+                len: cut_to - cut_from,
+            });
         }
-        removed_blocks
+        removed
     }
 
     /// Maps the logical range starting at `start` onto the given
     /// physical runs (their total length determines the range length).
-    /// Returns the physical blocks displaced from that range.
-    pub fn map_range(&mut self, start: u64, runs: &[Run]) -> Vec<BlockNr> {
+    /// Returns the physical runs displaced from that range, ordered as
+    /// [`unmap_range`](Self::unmap_range) orders them.
+    pub fn map_range(&mut self, start: u64, runs: &[Run]) -> Vec<Run> {
         let total: u64 = runs.iter().map(|r| r.len).sum();
         let displaced = self.unmap_range(start, total);
         let mut logical = start;
@@ -198,16 +205,12 @@ impl ExtentMap {
         self.map.insert(e.logical, e);
     }
 
-    /// Removes all extents, returning every mapped physical block.
-    pub fn clear(&mut self) -> Vec<BlockNr> {
-        let mut blocks = Vec::new();
-        for e in self.map.values() {
-            for i in 0..e.len {
-                blocks.push(BlockNr(e.physical.raw() + i));
-            }
-        }
+    /// Removes all extents, returning their physical runs in logical
+    /// order.
+    pub fn clear(&mut self) -> Vec<Run> {
+        let runs = self.map.values().map(Extent::run).collect();
         self.map.clear();
-        blocks
+        runs
     }
 }
 
@@ -220,6 +223,13 @@ mod tests {
             start: BlockNr(start),
             len,
         }
+    }
+
+    /// Expands runs into their blocks, in order.
+    fn blocks(runs: &[Run]) -> Vec<BlockNr> {
+        runs.iter()
+            .flat_map(|r| (0..r.len).map(move |i| r.start.offset(i)))
+            .collect()
     }
 
     #[test]
@@ -239,7 +249,7 @@ mod tests {
         m.map_range(0, &[run(100, 8)]);
         // Overwrite pages 2..4 with a new run.
         let displaced = m.map_range(2, &[run(200, 2)]);
-        assert_eq!(displaced, vec![BlockNr(102), BlockNr(103)]);
+        assert_eq!(displaced, vec![run(102, 2)]);
         assert_eq!(m.extent_count(), 3, "split into left, new, right");
         assert_eq!(m.block_of(PageIndex(1)), Some(BlockNr(101)));
         assert_eq!(m.block_of(PageIndex(2)), Some(BlockNr(200)));
@@ -256,7 +266,7 @@ mod tests {
         assert_eq!(m.extent_count(), 2);
         let displaced = m.map_range(2, &[run(300, 4)]);
         // Displaced must be exactly blocks 102,103,200,201 in some order.
-        let mut d = displaced.clone();
+        let mut d = blocks(&displaced);
         d.sort_by_key(|b| b.raw());
         assert_eq!(
             d,
@@ -294,7 +304,7 @@ mod tests {
         let mut m = ExtentMap::new();
         m.map_range(0, &[run(100, 10)]);
         let removed = m.unmap_range(3, 4);
-        assert_eq!(removed.len(), 4);
+        assert_eq!(removed, vec![run(103, 4)]);
         assert_eq!(m.block_of(PageIndex(2)), Some(BlockNr(102)));
         assert_eq!(m.block_of(PageIndex(3)), None);
         assert_eq!(m.block_of(PageIndex(6)), None);
@@ -307,18 +317,7 @@ mod tests {
         let mut m = ExtentMap::new();
         m.map_range(0, &[run(10, 2)]);
         m.map_range(5, &[run(20, 3)]);
-        let mut blocks = m.clear();
-        blocks.sort_by_key(|b| b.raw());
-        assert_eq!(
-            blocks,
-            vec![
-                BlockNr(10),
-                BlockNr(11),
-                BlockNr(20),
-                BlockNr(21),
-                BlockNr(22)
-            ]
-        );
+        assert_eq!(m.clear(), vec![run(10, 2), run(20, 3)]);
         assert!(m.is_empty());
     }
 
@@ -352,7 +351,7 @@ mod tests {
                             expected_displaced.push(old);
                         }
                     }
-                    let mut got: Vec<u64> = displaced.iter().map(|b| b.raw()).collect();
+                    let mut got: Vec<u64> = blocks(&displaced).iter().map(|b| b.raw()).collect();
                     got.sort_unstable();
                     expected_displaced.sort_unstable();
                     assert_eq!(got, expected_displaced);

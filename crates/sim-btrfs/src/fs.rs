@@ -347,9 +347,7 @@ impl BtrfsSim {
         let parent = node.parent;
         self.cache.remove_file(ino);
         let mut node = self.inodes.remove(ino)?;
-        for b in node.extents.clear() {
-            self.release_block(b)?;
-        }
+        self.release_runs(node.extents.clear(), true)?;
         self.fs_events.push_back(FsEvent::Deleted { ino, parent });
         Ok(())
     }
@@ -381,12 +379,15 @@ impl BtrfsSim {
 
     // ----- block bookkeeping -----------------------------------------
 
-    /// Releases one reference to a block, freeing it when the count
-    /// reaches zero and always clearing the live back-reference.
-    fn release_block(&mut self, b: BlockNr) -> SimResult<()> {
-        self.blocks.clear_backref(b)?;
-        if self.blocks.ref_dec(b)? {
-            self.alloc.free_block(b);
+    /// Releases one reference to every block of `runs` — clearing the
+    /// live back-reference first when `live` — and returns the blocks
+    /// whose count reached zero to the allocator, one `free_range` call
+    /// per maximal freed sub-run (DESIGN.md §13.5).
+    fn release_runs(&mut self, runs: impl IntoIterator<Item = Run>, live: bool) -> SimResult<()> {
+        let alloc = &mut self.alloc;
+        for run in runs {
+            self.blocks
+                .release_run(run, live, |f| alloc.free_range(f.start, f.len))?;
         }
         Ok(())
     }
@@ -399,28 +400,15 @@ impl BtrfsSim {
             trace.tick(TraceLayer::Btrfs, "alloc");
         }
         let mut logical = page0;
-        for run in &runs {
-            for i in 0..run.len {
-                let b = run.start.offset(i);
-                self.blocks.write_block(b)?;
-                self.blocks.ref_inc(b)?;
-                self.blocks.set_backref(
-                    b,
-                    BackRef {
-                        ino,
-                        index: PageIndex(logical + i),
-                    },
-                )?;
-            }
+        for &run in &runs {
+            self.blocks.claim_run(run, ino, logical)?;
             logical += run.len;
         }
         let displaced = {
             let node = self.inodes.get_mut(ino)?;
             node.extents.map_range(page0, &runs)
         };
-        for b in displaced {
-            self.release_block(b)?;
-        }
+        self.release_runs(displaced, true)?;
         Ok(runs)
     }
 
@@ -706,9 +694,7 @@ impl BtrfsSim {
             let node = self.inodes.get_mut(ino)?;
             node.extents.clear()
         };
-        for b in old {
-            self.release_block(b)?;
-        }
+        self.release_runs(old, true)?;
         // Allocate scattered runs. Each piece is carved with a trailing
         // gap from one contiguous allocation; freeing the gaps afterward
         // leaves the pieces physically separated, so the extent map
@@ -734,18 +720,7 @@ impl BtrfsSim {
                 Err(SimError::NoSpace) => (self.alloc.alloc(want)?, None),
                 Err(e) => return Err(e),
             };
-            for i in 0..run.len {
-                let b = run.start.offset(i);
-                self.blocks.write_block(b)?;
-                self.blocks.ref_inc(b)?;
-                self.blocks.set_backref(
-                    b,
-                    BackRef {
-                        ino,
-                        index: PageIndex(logical + i),
-                    },
-                )?;
-            }
+            self.blocks.claim_run(run, ino, logical)?;
             let node = self.inodes.get_mut(ino)?;
             let displaced = node.extents.map_range(logical, &[run]);
             debug_assert!(displaced.is_empty());
@@ -782,13 +757,8 @@ impl BtrfsSim {
             files.insert(ino, snap);
         }
         for f in files.values() {
-            let blocks: Vec<BlockNr> = f
-                .extents
-                .iter()
-                .flat_map(|e| (0..e.len).map(move |i| e.physical.offset(i)))
-                .collect();
-            for b in blocks {
-                self.blocks.ref_inc(b)?;
+            for e in f.extents.iter() {
+                self.blocks.ref_inc_run(e.run())?;
             }
         }
         self.snapshots.insert(id, Snapshot { id, files });
@@ -801,17 +771,8 @@ impl BtrfsSim {
             .snapshots
             .remove(&id)
             .ok_or_else(|| SimError::InvalidArgument(format!("{id} does not exist")))?;
-        for f in snap.files.values() {
-            for e in f.extents.iter() {
-                for i in 0..e.len {
-                    let b = e.physical.offset(i);
-                    if self.blocks.ref_dec(b)? {
-                        self.alloc.free_block(b);
-                    }
-                }
-            }
-        }
-        Ok(())
+        let extents = snap.files.values().flat_map(|f| f.extents.iter());
+        self.release_runs(extents.map(|e| e.run()), false)
     }
 
     /// Accesses a snapshot.
@@ -947,33 +908,16 @@ impl BtrfsSim {
             Err(SimError::NoSpace) => self.alloc.alloc_exact(pages)?,
             Err(e) => return Err(e),
         };
-        for run in &runs {
-            for i in 0..run.len {
-                let b = run.start.offset(i);
-                self.blocks.write_block(b)?;
-                self.blocks.ref_inc(b)?;
-            }
-        }
         let mut logical = 0u64;
-        for run in &runs {
-            for i in 0..run.len {
-                self.blocks.set_backref(
-                    run.start.offset(i),
-                    BackRef {
-                        ino,
-                        index: PageIndex(logical + i),
-                    },
-                )?;
-            }
+        for &run in &runs {
+            self.blocks.claim_run(run, ino, logical)?;
             logical += run.len;
         }
         let displaced = {
             let node = self.inodes.get_mut(ino)?;
             node.extents.map_range(0, &runs)
         };
-        for b in displaced {
-            self.release_block(b)?;
-        }
+        self.release_runs(displaced, true)?;
         // Refresh cached pages onto the new blocks, dirty.
         let mut evicted_all = Vec::new();
         let mut logical = 0u64;

@@ -15,7 +15,8 @@
 //!   (`experiments`): digest(forked stack) must equal digest(freshly
 //!   built stack), proving warm-start cannot change results.
 //! - [`enabled`]: the `DUET_SNAPSHOT` escape hatch — `0` bypasses
-//!   warm-start entirely and every cell rebuilds from scratch.
+//!   warm-start entirely and every cell rebuilds from scratch; unset
+//!   or `1` keeps it on, and any other value is an error.
 //!
 //! Determinism: a fork is a deep clone of deterministic state, so a
 //! forked run and a fresh run consume identical RNG streams and
@@ -27,14 +28,33 @@
 //! `thread_local!` storage — one memo per sweep worker — rather than
 //! behind a shared lock.
 
-/// Returns `false` when `DUET_SNAPSHOT=0`: the warm-start escape
-/// hatch. Any other value (including unset) leaves snapshotting on.
-/// Read per call so tests and harness drivers can flip it between
-/// runs.
-pub fn enabled() -> bool {
-    std::env::var("DUET_SNAPSHOT")
-        .map(|v| v != "0")
-        .unwrap_or(true)
+use crate::{SimError, SimResult};
+use std::env::VarError;
+
+/// Whether warm-start forks are on, from `DUET_SNAPSHOT`: unset or `1`
+/// means on, `0` is the escape hatch (every cell builds from scratch).
+/// Any other value is a [`SimError::InvalidArgument`] naming the
+/// variable and the value — `false` or `off` must not silently leave
+/// forks on. Read per call so tests and harness drivers can flip it
+/// between runs.
+pub fn enabled() -> SimResult<bool> {
+    let value = match std::env::var("DUET_SNAPSHOT") {
+        Err(VarError::NotPresent) => return Ok(true),
+        Ok(v) => v,
+        Err(VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    parse_enabled(&value)
+}
+
+/// Parses a set `DUET_SNAPSHOT` value: exactly `1` or `0`.
+fn parse_enabled(value: &str) -> SimResult<bool> {
+    match value {
+        "1" => Ok(true),
+        "0" => Ok(false),
+        _ => Err(SimError::InvalidArgument(format!(
+            "DUET_SNAPSHOT `{value}` is not 0 or 1 (unset means 1)"
+        ))),
+    }
 }
 
 /// Incremental 128-bit FNV-1a digest: two independent 64-bit streams
@@ -208,6 +228,19 @@ impl<K: PartialEq, T: Clone> SnapshotStore<K, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn snapshot_flag_rejects_other_values_by_name() {
+        for bad in ["false", "off", "true", "on", "", " 1", "00", "2"] {
+            match parse_enabled(bad) {
+                Err(SimError::InvalidArgument(msg)) => {
+                    assert!(msg.contains("DUET_SNAPSHOT"), "{msg}");
+                    assert!(msg.contains(&format!("`{bad}`")), "{msg}");
+                }
+                other => panic!("`{bad}` gave {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn digest_is_deterministic_and_order_sensitive() {

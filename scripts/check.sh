@@ -4,7 +4,8 @@
 #
 #   fmt --check  →  clippy -D warnings  →  xtask lint  →  cargo test
 #   →  fault matrix (pinned seed)  →  oracle sabotage localization
-#   →  trace compile-out check  →  repro_all smoke (tiny scale, 2 jobs)
+#   →  trace compile-out check  →  snapshot equivalence
+#   →  benchmark package tests  →  repro_all smoke (tiny scale, 2 jobs)
 #   →  microbenchmarks + perf-regression gate (committed baseline)
 #
 # Each step must pass before the next runs; the script exits non-zero
@@ -66,6 +67,14 @@ echo "==> snapshot/fork equivalence (digest oracle + cold-path goldens)"
 # workspace pass above.
 cargo test -q -p experiments --release snapshot::
 DUET_SNAPSHOT=0 cargo test -q --release --test determinism
+
+echo "==> benchmark package tests (simbench)"
+# simbench is a package of its own (outside the workspace), so the
+# workspace pass above does not reach it. Its tests include the check
+# that the bench-side traced replay produces the same per-cell digests
+# as the public runner, which catches stack internals drifting from
+# what the replay re-steps.
+cargo test -q --release --offline --manifest-path simbench/Cargo.toml
 
 echo "==> repro_all smoke (DUET_SCALE=512 DUET_JOBS=2, time-bounded)"
 cargo build -q --release -p bench --bin repro_all

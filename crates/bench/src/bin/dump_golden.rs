@@ -3,7 +3,8 @@
 //! The fixtures pin every output the dmap-era container migration must
 //! keep byte-identical: experiment golden CSVs, the rsync line, the
 //! trace JSONL digest, the parallel sweep grids (bit patterns), and
-//! the scripted cache/prioqueue op-mix logs. Run from the repo root:
+//! the scripted cache/prioqueue/extent/Duet op-mix logs. Run from the
+//! repo root:
 //!
 //! ```text
 //! cargo run --release -p bench --bin dump_golden
@@ -15,7 +16,8 @@
 
 use bench::sweeps::{completed_cells, saved_cells};
 use experiments::golden::{
-    cache_event_log, extent_oplog, fnv128_hex, golden_csv, golden_rsync_line, prioqueue_pop_log,
+    cache_event_log, duet_oplog, extent_oplog, fnv128_hex, golden_csv, golden_rsync_line,
+    prioqueue_pop_log,
 };
 use experiments::{
     paper_scaled, run_experiment, run_experiment_traced, run_rsync_experiment, DeviceKind, TaskKind,
@@ -195,6 +197,11 @@ fn main() -> ExitCode {
         root_fixtures,
         "golden_extent_oplog.txt",
         &extent_oplog(0xE47E, 4000),
+    );
+    write(
+        root_fixtures,
+        "golden_duet_oplog.txt",
+        &duet_oplog(0xD0E7, 4000),
     );
 
     println!("all fixtures written");

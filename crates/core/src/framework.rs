@@ -1,7 +1,7 @@
 //! The Duet framework core: registration, event handling, fetch, done
 //! tracking and namespace-change handling (§4 of the paper).
 
-use crate::descriptor::Descriptor;
+use crate::descriptor::{Descriptor, DescriptorTable, MAX_SESSIONS};
 use crate::events::{transition, EventMask, ItemFlags};
 use crate::session::{Item, ItemId, Session, SessionId, TaskScope};
 use sim_cache::FsIntrospect;
@@ -9,13 +9,13 @@ use sim_cache::{PageEvent, PageKey, PageMeta};
 use sim_core::fault::{FaultHandle, FaultSite};
 use sim_core::trace::{TraceHandle, TraceLayer};
 use sim_core::{InodeNr, SimError, SimResult, PAGE_SIZE};
-use std::collections::BTreeMap;
 
 /// Framework configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct DuetConfig {
     /// Maximum concurrent sessions (the `N` of the merged descriptor's
-    /// flag array; configured "at module load time", §4.2).
+    /// flag array; configured "at module load time", §4.2). Between 1
+    /// and 16: the flag bytes are stored inline in each descriptor.
     pub max_sessions: usize,
     /// Per-session cap on queued pending descriptors; beyond it, new
     /// events for event-only sessions are dropped (DoS bound, §4.2).
@@ -62,10 +62,10 @@ pub struct Duet {
     /// (always empty between calls; excluded from digests).
     scratch_interested: Vec<usize>,
     scratch_pending: Vec<usize>,
-    /// Merged descriptors: inode → page index → descriptor. Ordered so
-    /// that iteration (e.g. [`Duet::pending_pages`]) is deterministic.
-    descriptors: BTreeMap<InodeNr, BTreeMap<u64, Descriptor>>,
-    ndesc: usize,
+    /// Merged descriptors: one hash table keyed by (inode, offset),
+    /// plus a per-inode page list for `set_done` on a file.
+    descriptors: DescriptorTable,
+    /// Counters; `peak_descriptors` is kept by the descriptor table.
     stats: DuetStats,
     /// Fault-injection handle; `None` (or a quiet plan) behaves
     /// byte-identically to an unfaulted framework.
@@ -88,21 +88,12 @@ impl sim_core::snapshot::StateDigest for Duet {
                 s.digest_state(d);
             }
         }
-        d.write_usize(self.ndesc);
-        d.write_usize(self.descriptors.len());
-        for (ino, pages) in &self.descriptors {
-            d.write_u64(ino.raw());
-            d.write_usize(pages.len());
-            for (idx, desc) in pages {
-                d.write_u64(*idx);
-                desc.digest_state(d);
-            }
-        }
+        self.descriptors.digest_state(self.cfg.max_sessions, d);
         d.write_u64(self.stats.events_processed);
         d.write_u64(self.stats.events_dropped);
         d.write_u64(self.stats.fetch_calls);
         d.write_u64(self.stats.items_fetched);
-        d.write_usize(self.stats.peak_descriptors);
+        d.write_usize(self.descriptors.peak());
         d.write_bool(self.faults.is_some());
         d.write_bool(self.trace.is_some());
     }
@@ -112,14 +103,18 @@ impl Duet {
     /// Creates a framework instance.
     pub fn new(cfg: DuetConfig) -> Self {
         assert!(cfg.max_sessions > 0, "need at least one session slot");
+        assert!(
+            cfg.max_sessions <= MAX_SESSIONS,
+            "at most {MAX_SESSIONS} session slots (got {})",
+            cfg.max_sessions
+        );
         Duet {
             sessions: (0..cfg.max_sessions).map(|_| None).collect(),
             masks: (0..cfg.max_sessions).map(|_| None).collect(),
             scratch_interested: Vec::new(),
             scratch_pending: Vec::new(),
             cfg,
-            descriptors: BTreeMap::new(),
-            ndesc: 0,
+            descriptors: DescriptorTable::default(),
             stats: DuetStats::default(),
             faults: None,
             trace: None,
@@ -146,12 +141,15 @@ impl Duet {
 
     /// Current statistics.
     pub fn stats(&self) -> DuetStats {
-        self.stats
+        DuetStats {
+            peak_descriptors: self.descriptors.peak(),
+            ..self.stats
+        }
     }
 
     /// Number of live item descriptors.
     pub fn descriptor_count(&self) -> usize {
-        self.ndesc
+        self.descriptors.len()
     }
 
     /// Number of active sessions.
@@ -163,7 +161,7 @@ impl Duet {
     /// descriptors (id + offset + N-byte flag array + hash node) plus
     /// the sessions' sparse bitmaps.
     pub fn memory_bytes(&self) -> u64 {
-        let desc = self.ndesc as u64 * Descriptor::memory_bytes(self.cfg.max_sessions);
+        let desc = self.descriptors.len() as u64 * Descriptor::memory_bytes(self.cfg.max_sessions);
         let bitmaps: u64 = self
             .sessions
             .iter()
@@ -244,7 +242,9 @@ impl Duet {
         let Some(mask) = self.sessions[slot].as_ref().map(|s| s.mask) else {
             return;
         };
-        let d = self.descriptor_entry(meta.key, true, meta.dirty, meta.block);
+        let (d, _) = self
+            .descriptors
+            .entry(meta.key, true, meta.dirty, meta.block);
         let was_pending = d.pending_for(slot, mask);
         {
             let f = &mut d.sess[slot];
@@ -277,19 +277,10 @@ impl Duet {
         // Strip the session's flags from every descriptor; free those
         // left with nothing pending.
         let masks = &self.masks;
-        let mut freed = 0usize;
-        self.descriptors.retain(|_, pages| {
-            pages.retain(|_, d| {
-                d.sess[slot].clear_all();
-                let keep = d.pending_any(masks);
-                if !keep {
-                    freed += 1;
-                }
-                keep
-            });
-            !pages.is_empty()
+        self.descriptors.retain(|d| {
+            d.sess[slot].clear_all();
+            d.pending_any(masks)
         });
-        self.ndesc -= freed;
         Ok(())
     }
 
@@ -393,47 +384,14 @@ impl Duet {
         }
     }
 
-    fn descriptor_entry(
-        &mut self,
-        key: PageKey,
-        exists: bool,
-        modified: bool,
-        block: Option<sim_core::BlockNr>,
-    ) -> &mut Descriptor {
-        let pages = self.descriptors.entry(key.ino).or_default();
-        let max_sessions = self.cfg.max_sessions;
-        let mut created = false;
-        let d = pages.entry(key.index.raw()).or_insert_with(|| {
-            created = true;
-            Descriptor::new(max_sessions, exists, modified, block)
-        });
-        if created {
-            self.ndesc += 1;
-            self.stats.peak_descriptors = self.stats.peak_descriptors.max(self.ndesc);
-        }
-        d
-    }
-
-    fn descriptor_get(&mut self, key: PageKey) -> Option<&mut Descriptor> {
-        self.descriptors
-            .get_mut(&key.ino)
-            .and_then(|pages| pages.get_mut(&key.index.raw()))
-    }
-
     /// Frees the descriptor if no session has anything pending on it.
     fn gc_descriptor(&mut self, key: PageKey) {
-        let masks = &self.masks;
-        let Some(pages) = self.descriptors.get_mut(&key.ino) else {
-            return;
-        };
-        if let Some(d) = pages.get(&key.index.raw()) {
-            if !d.pending_any(masks) {
-                pages.remove(&key.index.raw());
-                self.ndesc -= 1;
-            }
-        }
-        if pages.is_empty() {
-            self.descriptors.remove(&key.ino);
+        let idle = self
+            .descriptors
+            .get(key)
+            .is_some_and(|d| !d.pending_any(&self.masks));
+        if idle {
+            self.descriptors.remove(key);
         }
     }
 
@@ -451,7 +409,10 @@ impl Duet {
         // bump the event counter and tick the trace — do exactly that.
         // Baseline (non-Duet) experiment cells still pump every cache
         // event through here, so this is their per-event cost.
-        if self.ndesc == 0 && self.faults.is_none() && self.sessions.iter().all(Option::is_none) {
+        if self.descriptors.len() == 0
+            && self.faults.is_none()
+            && self.sessions.iter().all(Option::is_none)
+        {
             self.stats.events_processed += 1;
             if let Some(trace) = &self.trace {
                 trace.tick(TraceLayer::Duet, "event");
@@ -486,70 +447,66 @@ impl Duet {
                 interested.push(slot);
             }
         }
-        // Pass 2: update the descriptor.
+        // Pass 2: update the descriptor — one probe, which allocates it
+        // only if some session wants the event.
         let key = meta.key;
-        let exists_already = self
-            .descriptors
-            .get(&key.ino)
-            .is_some_and(|p| p.contains_key(&key.index.raw()));
-        if !exists_already && interested.is_empty() {
-            self.scratch_interested = interested;
-            return;
-        }
-        // `descriptor_entry` needs `&mut self`, so the masks cache is
-        // moved out for the scope of pass 2 and restored after (no
-        // callee in between reads it).
-        let masks = std::mem::take(&mut self.masks);
-        let mut newly_pending = std::mem::take(&mut self.scratch_pending);
-        if exists_already {
+        let (d, created) = if interested.is_empty() {
+            match self.descriptors.get_mut(key) {
+                Some(d) => (d, false),
+                None => {
+                    self.scratch_interested = interested;
+                    return;
+                }
+            }
+        } else {
+            self.descriptors.entry(key, post_e, post_m, meta.block)
+        };
+        if !created {
             // The event folds into an existing descriptor: the state
             // merge of §4.2 (one descriptor accumulates many events).
             if let Some(trace) = &self.trace {
                 trace.tick(TraceLayer::Duet, "merge");
             }
-        }
-        {
-            let d = self.descriptor_entry(key, post_e, post_m, meta.block);
-            if exists_already {
-                d.cur_exists = post_e;
-                d.cur_modified = post_m;
-                if meta.block.is_some() {
-                    d.block = meta.block;
-                }
-            }
-            for &slot in &interested {
-                let Some(mask) = masks[slot] else {
-                    continue;
-                };
-                let was = d.pending_for(slot, mask);
-                if !d.sess[slot].state_init() {
-                    d.sess[slot].set_reported(pre_e, pre_m);
-                }
-                let evt_bit = match ev {
-                    PageEvent::Added => (EventMask::ADDED, ItemFlags::ADDED),
-                    PageEvent::Removed => (EventMask::REMOVED, ItemFlags::REMOVED),
-                    PageEvent::Dirtied => (EventMask::DIRTIED, ItemFlags::DIRTIED),
-                    PageEvent::Flushed => (EventMask::FLUSHED, ItemFlags::FLUSHED),
-                };
-                if mask.contains(evt_bit.0) {
-                    d.sess[slot].set_evt(evt_bit.1);
-                }
-                let now = d.pending_for(slot, mask);
-                if now && !was {
-                    newly_pending.push(slot);
-                }
+            d.cur_exists = post_e;
+            d.cur_modified = post_m;
+            if meta.block.is_some() {
+                d.block = meta.block;
             }
         }
-        self.masks = masks;
+        let (evt_mask, evt_flag) = match ev {
+            PageEvent::Added => (EventMask::ADDED, ItemFlags::ADDED),
+            PageEvent::Removed => (EventMask::REMOVED, ItemFlags::REMOVED),
+            PageEvent::Dirtied => (EventMask::DIRTIED, ItemFlags::DIRTIED),
+            PageEvent::Flushed => (EventMask::FLUSHED, ItemFlags::FLUSHED),
+        };
+        let mut newly_pending = std::mem::take(&mut self.scratch_pending);
+        for &slot in &interested {
+            let Some(mask) = self.masks[slot] else {
+                continue;
+            };
+            let was = d.pending_for(slot, mask);
+            if !d.sess[slot].state_init() {
+                d.sess[slot].set_reported(pre_e, pre_m);
+            }
+            if mask.contains(evt_mask) {
+                d.sess[slot].set_evt(evt_flag);
+            }
+            if d.pending_for(slot, mask) && !was {
+                newly_pending.push(slot);
+            }
+        }
+        // Cancellation: opposing events may have reverted the page to
+        // its reported state for every session.
+        let idle = !d.pending_any(&self.masks);
         for slot in newly_pending.drain(..) {
             self.enqueue(slot, key);
         }
         interested.clear();
         self.scratch_interested = interested;
         self.scratch_pending = newly_pending;
-        // Cancellation: opposing events may have reverted the page to
-        // its reported state for every session.
-        self.gc_descriptor(key);
+        if idle {
+            self.descriptors.remove(key);
+        }
     }
 
     // ----- fetch -------------------------------------------------------------
@@ -579,27 +536,22 @@ impl Duet {
                 };
                 (key, sess.scope, sess.mask)
             };
-            let Some(d) = self.descriptor_get(key) else {
+            let Some(d) = self.descriptors.get_mut(key) else {
                 continue;
             };
             if !d.pending_for(slot, sess_mask) {
-                self.gc_descriptor(key);
+                if !d.pending_any(&self.masks) {
+                    self.descriptors.remove(key);
+                }
                 continue;
             }
             // Resolve the block for block tasks (FIBMAP bridging, §4.2).
             let block = match sess_scope {
                 TaskScope::Block { .. } => {
-                    let b = match d.block {
-                        Some(b) => Some(b),
-                        None => {
-                            let resolved = fs.fibmap(key.ino, key.index);
-                            if let Some(b) = resolved {
-                                d.block = Some(b);
-                            }
-                            resolved
-                        }
-                    };
-                    match b {
+                    if d.block.is_none() {
+                        d.block = fs.fibmap(key.ino, key.index);
+                    }
+                    match d.block {
                         Some(b) => Some(b),
                         None => {
                             // Still unallocated: defer to a later fetch.
@@ -620,22 +572,10 @@ impl Duet {
                     .as_ref()
                     .is_some_and(|sess| sess.done.test(b.raw())),
             };
-            let Some(d) = self.descriptor_get(key) else {
-                continue;
-            };
-            if skip {
-                // Mark up-to-date without delivering.
-                d.sess[slot].clear_evt();
-                d.sess[slot].clear_force_not_exists();
-                let (e, m) = (d.cur_exists, d.cur_modified);
-                d.sess[slot].set_reported(e, m);
-                self.gc_descriptor(key);
-                continue;
-            }
-            // Build the flags.
-            let mut flags = ItemFlags::empty();
+            // Build the flags (a skipped item is marked up-to-date
+            // without delivering).
             let f = d.sess[slot];
-            flags |= crate::events::ItemFlags::from_evt_bits(f.evt_bits());
+            let mut flags = ItemFlags::from_evt_bits(f.evt_bits());
             if f.force_not_exists() {
                 flags |= ItemFlags::NOT_EXISTS;
             } else if f.state_init() {
@@ -661,6 +601,12 @@ impl Duet {
             d.sess[slot].clear_force_not_exists();
             let (e, m) = (d.cur_exists, d.cur_modified);
             d.sess[slot].set_reported(e, m);
+            if !d.pending_any(&self.masks) {
+                self.descriptors.remove(key);
+            }
+            if skip {
+                continue;
+            }
             let item = match (sess_scope, block) {
                 (TaskScope::File { .. }, _) => Item {
                     id: ItemId::Inode(key.ino),
@@ -683,7 +629,6 @@ impl Duet {
                 (TaskScope::Block { .. }, None) => continue,
             };
             out.push(item);
-            self.gc_descriptor(key);
         }
         self.stats.items_fetched += out.len() as u64;
         if let Some(trace) = &self.trace {
@@ -724,24 +669,13 @@ impl Duet {
         }
         if let ItemId::Inode(ino) = item {
             let masks = &self.masks;
-            if let Some(pages) = self.descriptors.get_mut(&ino) {
-                let mut freed = 0usize;
-                pages.retain(|_, d| {
-                    d.sess[slot].clear_evt();
-                    d.sess[slot].clear_force_not_exists();
-                    let (e, m) = (d.cur_exists, d.cur_modified);
-                    d.sess[slot].set_reported(e, m);
-                    let keep = d.pending_any(masks);
-                    if !keep {
-                        freed += 1;
-                    }
-                    keep
-                });
-                if pages.is_empty() {
-                    self.descriptors.remove(&ino);
-                }
-                self.ndesc -= freed;
-            }
+            self.descriptors.retain_inode(ino, |d| {
+                d.sess[slot].clear_evt();
+                d.sess[slot].clear_force_not_exists();
+                let (e, m) = (d.cur_exists, d.cur_modified);
+                d.sess[slot].set_reported(e, m);
+                d.pending_any(masks)
+            });
         }
         Ok(())
     }
@@ -862,7 +796,9 @@ impl Duet {
                     continue;
                 };
                 for meta in fs.cached_pages_of(ino) {
-                    let d = self.descriptor_entry(meta.key, true, meta.dirty, meta.block);
+                    let (d, _) = self
+                        .descriptors
+                        .entry(meta.key, true, meta.dirty, meta.block);
                     let was = d.pending_for(slot, mask);
                     if mask.contains(EventMask::REMOVED) {
                         d.sess[slot].set_evt(ItemFlags::REMOVED);
@@ -913,7 +849,7 @@ impl Duet {
             out,
             "duet: {} session(s), {} descriptor(s), {} B tracked memory",
             self.session_count(),
-            self.ndesc,
+            self.descriptors.len(),
             self.memory_bytes()
         );
         for (slot, sess) in self.sessions.iter().enumerate() {
@@ -943,30 +879,20 @@ impl Duet {
             self.stats.events_dropped,
             self.stats.fetch_calls,
             self.stats.items_fetched,
-            self.stats.peak_descriptors
+            self.descriptors.peak()
         );
         out
     }
 
-    /// Pages with pending notifications for any session, up to `max`.
+    /// Pages with pending notifications for any session: the first
+    /// `max` in ascending `(ino, index)` order.
     ///
     /// Powers the *informed cache replacement* extension (named as
     /// future work in §2 of the paper): the cache can deprioritize
     /// evicting pages whose hints no task has consumed yet.
     pub fn pending_pages(&self, max: usize) -> Vec<PageKey> {
-        let masks = &self.masks;
-        let mut out = Vec::new();
-        'outer: for (&ino, pages) in &self.descriptors {
-            for (&idx, d) in pages {
-                if d.pending_any(masks) {
-                    out.push(PageKey::new(ino, sim_core::PageIndex(idx)));
-                    if out.len() >= max {
-                        break 'outer;
-                    }
-                }
-            }
-        }
-        out
+        self.descriptors
+            .lowest_keys(max, |d| d.pending_any(&self.masks))
     }
 
     /// Events dropped for a session (DoS-bound accounting).

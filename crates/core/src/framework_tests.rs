@@ -196,6 +196,38 @@ fn register_rejects_device_mismatch() {
 }
 
 #[test]
+fn config_accepts_up_to_sixteen_session_slots() {
+    let mut duet = Duet::new(DuetConfig {
+        max_sessions: 16,
+        descriptor_limit: 100,
+    });
+    let fs = MockFs::new();
+    for _ in 0..16 {
+        duet.register(TaskScope::Block { device: DEV }, EventMask::ADDED, &fs)
+            .unwrap();
+    }
+    assert_eq!(duet.session_count(), 16);
+}
+
+#[test]
+#[should_panic(expected = "at most 16 session slots")]
+fn config_rejects_more_than_sixteen_session_slots() {
+    Duet::new(DuetConfig {
+        max_sessions: 17,
+        descriptor_limit: 100,
+    });
+}
+
+#[test]
+#[should_panic(expected = "at least one session slot")]
+fn config_rejects_zero_session_slots() {
+    Duet::new(DuetConfig {
+        max_sessions: 0,
+        descriptor_limit: 100,
+    });
+}
+
+#[test]
 fn registration_scan_reports_cached_pages() {
     let mut fs = MockFs::new();
     let f = fs.add(10, ROOT, "f");
@@ -841,6 +873,56 @@ fn pending_pages_reports_unconsumed_hints() {
     assert!(
         duet.pending_pages(100).is_empty(),
         "consumed hints drop out"
+    );
+}
+
+/// `pending_pages(max)` returns the *first* `max` pending keys in
+/// ascending `(ino, index)` order, whatever order the events arrived
+/// in. Informed replacement protects exactly these pages, so a change
+/// in which pages a cap selects changes the cache's eviction choices.
+#[test]
+fn pending_pages_returns_lowest_keys_in_order() {
+    let mut fs = MockFs::new();
+    let a = fs.add(30, ROOT, "a");
+    let b = fs.add(12, ROOT, "b");
+    let c = fs.add(21, ROOT, "c");
+    let mut duet = Duet::with_defaults();
+    let sid = duet
+        .register(
+            TaskScope::File {
+                registered_dir: ROOT,
+            },
+            EventMask::EXISTS,
+            &fs,
+        )
+        .unwrap();
+    for (ino, idx) in [
+        (a, 4),
+        (c, 9),
+        (b, 7),
+        (a, 0),
+        (c, 2),
+        (b, 3),
+        (a, 8),
+        (c, 5),
+    ] {
+        duet.handle_page_event(meta(ino, idx, Some(idx), false), PageEvent::Added, &fs);
+    }
+    let key = |ino: InodeNr, idx: u64| PageKey::new(ino, PageIndex(idx));
+    assert_eq!(
+        duet.pending_pages(5),
+        vec![key(b, 3), key(b, 7), key(c, 2), key(c, 5), key(c, 9)]
+    );
+    assert_eq!(duet.pending_pages(100).len(), 8);
+    assert_eq!(
+        duet.pending_pages(100)[5..],
+        [key(a, 0), key(a, 4), key(a, 8)]
+    );
+    // Consuming the lowest inode's hints moves the window up.
+    duet.set_done(sid, ItemId::Inode(b)).unwrap();
+    assert_eq!(
+        duet.pending_pages(4),
+        vec![key(c, 2), key(c, 5), key(c, 9), key(a, 0)]
     );
 }
 

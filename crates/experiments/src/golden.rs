@@ -314,9 +314,385 @@ pub fn extent_oplog(seed: u64, ops: u64) -> String {
     out
 }
 
+/// A scripted filesystem for [`duet_oplog`]: a fixed directory tree,
+/// an ordered page cache and a FIBMAP table. Every answer is a pure
+/// function of the script, so the framework sees the same world on
+/// every run.
+struct OplogFs {
+    parents: std::collections::BTreeMap<sim_core::InodeNr, sim_core::InodeNr>,
+    cache: std::collections::BTreeMap<sim_cache::PageKey, sim_cache::PageMeta>,
+    fibmap: std::collections::BTreeMap<sim_cache::PageKey, sim_core::BlockNr>,
+    next_block: u64,
+}
+
+impl OplogFs {
+    fn alloc_block(&mut self) -> sim_core::BlockNr {
+        self.next_block += 1;
+        sim_core::BlockNr(self.next_block)
+    }
+}
+
+impl sim_cache::FsIntrospect for OplogFs {
+    fn device(&self) -> sim_core::DeviceId {
+        sim_core::DeviceId(0)
+    }
+
+    fn is_under(&self, ino: sim_core::InodeNr, dir: sim_core::InodeNr) -> bool {
+        let mut cur = ino;
+        loop {
+            if cur == dir {
+                return true;
+            }
+            match self.parents.get(&cur) {
+                Some(&p) if p != cur => cur = p,
+                _ => return false,
+            }
+        }
+    }
+
+    fn path_of(&self, ino: sim_core::InodeNr) -> Option<String> {
+        self.parents.get(&ino).map(|_| format!("/{}", ino.raw()))
+    }
+
+    fn fibmap(
+        &self,
+        ino: sim_core::InodeNr,
+        index: sim_core::PageIndex,
+    ) -> Option<sim_core::BlockNr> {
+        self.fibmap
+            .get(&sim_cache::PageKey::new(ino, index))
+            .copied()
+    }
+
+    fn has_cached_pages(&self, ino: sim_core::InodeNr) -> bool {
+        self.cache.keys().any(|k| k.ino == ino)
+    }
+
+    fn cached_pages(&self) -> Vec<sim_cache::PageMeta> {
+        self.cache.values().copied().collect()
+    }
+
+    fn cached_pages_of(&self, ino: sim_core::InodeNr) -> Vec<sim_cache::PageMeta> {
+        self.cache
+            .values()
+            .filter(|m| m.key.ino == ino)
+            .copied()
+            .collect()
+    }
+}
+
+/// Scripted Duet framework op mix, serialized op by op. Four sessions
+/// share one framework: a block session with `ADDED|DIRTIED`, a block
+/// session with `EXISTS`, a file session with `EXISTS|MODIFIED` under a
+/// subdirectory, and an event-only file session held to a small
+/// descriptor limit. The script drives page events (with delayed
+/// allocation and flush-time relocation), capped fetches, done marking
+/// on blocks and inodes, file and directory renames across the
+/// registered subtree, deletes, deregistration and re-registration,
+/// churn and capped `pending_pages`. After every op the log records
+/// what the op returned plus the descriptor count, statistics, §6.4
+/// memory and the full state digest, which pins the descriptor store
+/// byte for byte.
+pub fn duet_oplog(seed: u64, ops: u64) -> String {
+    use duet::{Duet, DuetConfig, EventMask, ItemId, SessionId, TaskScope};
+    use sim_cache::{FsIntrospect, PageEvent, PageKey, PageMeta};
+    use sim_core::snapshot::StateDigest;
+    use sim_core::{BlockNr, DeviceId, InodeNr, PageIndex, SimRng};
+
+    const ROOT: InodeNr = InodeNr(1);
+    const SUB: InodeNr = InodeNr(2);
+    const OUT: InodeNr = InodeNr(3);
+    const DEEP: InodeNr = InodeNr(4);
+    const FILES: [InodeNr; 5] = [
+        InodeNr(10),
+        InodeNr(11),
+        InodeNr(12),
+        InodeNr(13),
+        InodeNr(14),
+    ];
+    let mut fs = OplogFs {
+        parents: [
+            (ROOT, ROOT),
+            (SUB, ROOT),
+            (OUT, ROOT),
+            (DEEP, ROOT),
+            (FILES[0], SUB),
+            (FILES[1], SUB),
+            (FILES[2], ROOT),
+            (FILES[3], DEEP),
+            (FILES[4], OUT),
+        ]
+        .into_iter()
+        .collect(),
+        cache: Default::default(),
+        fibmap: Default::default(),
+        next_block: 100,
+    };
+    let specs: [(TaskScope, EventMask); 4] = [
+        (
+            TaskScope::Block {
+                device: DeviceId(0),
+            },
+            EventMask::ADDED | EventMask::DIRTIED,
+        ),
+        (
+            TaskScope::Block {
+                device: DeviceId(0),
+            },
+            EventMask::EXISTS,
+        ),
+        (
+            TaskScope::File {
+                registered_dir: SUB,
+            },
+            EventMask::EXISTS | EventMask::MODIFIED,
+        ),
+        (
+            TaskScope::File {
+                registered_dir: ROOT,
+            },
+            EventMask::ADDED | EventMask::REMOVED | EventMask::DIRTIED | EventMask::FLUSHED,
+        ),
+    ];
+    let mut duet = Duet::new(DuetConfig {
+        max_sessions: 6,
+        descriptor_limit: 24,
+    });
+    let mut rng = SimRng::new(seed);
+    let mut sids: Vec<Option<SessionId>> = Vec::new();
+    let mut out = String::new();
+    let sid_str = |s: Option<SessionId>| s.map_or("-".to_string(), |s| s.0.to_string());
+    for (scope, mask) in specs {
+        let r = duet.register(scope, mask, &fs);
+        out.push_str(&format!("register {:?}\n", r));
+        sids.push(r.ok());
+    }
+    for _ in 0..ops {
+        let line = match rng.gen_range(0, 24) {
+            0..=12 => {
+                let ino = FILES[rng.gen_range(0, FILES.len() as u64) as usize];
+                let key = PageKey::new(ino, PageIndex(rng.gen_range(0, 16)));
+                let (ev, meta) = match fs.cache.get(&key).copied() {
+                    None => {
+                        let dirty = rng.gen_range(0, 3) == 0;
+                        let block = match fs.fibmap.get(&key) {
+                            Some(&b) => Some(b),
+                            // Delayed allocation: a dirty new page may
+                            // have no block until its flush.
+                            None if dirty && rng.gen_range(0, 2) == 0 => None,
+                            None => {
+                                let b = fs.alloc_block();
+                                fs.fibmap.insert(key, b);
+                                Some(b)
+                            }
+                        };
+                        let m = PageMeta { key, block, dirty };
+                        fs.cache.insert(key, m);
+                        (PageEvent::Added, m)
+                    }
+                    Some(m) if m.dirty && rng.gen_range(0, 4) != 0 => {
+                        // Flush: allocate a delayed block, or relocate
+                        // (log-structured) a third of the time.
+                        let block = match m.block {
+                            Some(b) if rng.gen_range(0, 3) != 0 => b,
+                            _ => fs.alloc_block(),
+                        };
+                        fs.fibmap.insert(key, block);
+                        let m = PageMeta {
+                            key,
+                            block: Some(block),
+                            dirty: false,
+                        };
+                        fs.cache.insert(key, m);
+                        (PageEvent::Flushed, m)
+                    }
+                    Some(m) if !m.dirty && rng.gen_range(0, 2) == 0 => {
+                        let m = PageMeta { dirty: true, ..m };
+                        fs.cache.insert(key, m);
+                        (PageEvent::Dirtied, m)
+                    }
+                    Some(m) => {
+                        fs.cache.remove(&key);
+                        (PageEvent::Removed, m)
+                    }
+                };
+                duet.handle_page_event(meta, ev, &fs);
+                format!(
+                    "event {:?} {}:{} b={:?} d={}",
+                    ev,
+                    key.ino.raw(),
+                    key.index.raw(),
+                    meta.block.map(|b| b.raw()),
+                    meta.dirty
+                )
+            }
+            13..=15 => {
+                let which = rng.gen_range(0, sids.len() as u64) as usize;
+                let max = rng.gen_range(1, 9) as usize;
+                match sids[which] {
+                    Some(sid) => match duet.fetch(sid, max, &fs) {
+                        Ok(items) => {
+                            let shown: Vec<String> = items
+                                .iter()
+                                .map(|i| {
+                                    format!(
+                                        "{:?}@{}:{:02x}:{:?}",
+                                        i.id,
+                                        i.offset,
+                                        i.flags.bits(),
+                                        i.moved_to.map(|b| b.raw())
+                                    )
+                                })
+                                .collect();
+                            format!("fetch s{which} max {max} -> [{}]", shown.join(" "))
+                        }
+                        Err(e) => format!("fetch s{which} err {e}"),
+                    },
+                    None => format!("fetch s{which} unregistered"),
+                }
+            }
+            16..=17 => {
+                let which = rng.gen_range(0, sids.len() as u64) as usize;
+                let item = if rng.gen_range(0, 2) == 0 {
+                    ItemId::Block(BlockNr(rng.gen_range(100, fs.next_block + 1)))
+                } else {
+                    ItemId::Inode(FILES[rng.gen_range(0, FILES.len() as u64) as usize])
+                };
+                let set = rng.gen_range(0, 3) != 0;
+                match sids[which] {
+                    Some(sid) => {
+                        let r = if set {
+                            duet.set_done(sid, item)
+                        } else {
+                            duet.unset_done(sid, item)
+                        };
+                        let done = duet.check_done(sid, item);
+                        format!("done s{which} set={set} {item:?} {r:?} now {done:?}")
+                    }
+                    None => format!("done s{which} unregistered"),
+                }
+            }
+            18 => {
+                // File rename across SUB / ROOT / OUT / DEEP.
+                let ino = FILES[rng.gen_range(0, FILES.len() as u64) as usize];
+                let dirs = [ROOT, SUB, OUT, DEEP];
+                let to = dirs[rng.gen_range(0, dirs.len() as u64) as usize];
+                let from = fs.parents.insert(ino, to).unwrap_or(ROOT);
+                duet.handle_rename(ino, from, false, &fs);
+                format!("rename {} {}->{}", ino.raw(), from.raw(), to.raw())
+            }
+            19 => {
+                // Directory rename: DEEP in and out of SUB.
+                let to = if fs.parents.get(&DEEP) == Some(&SUB) {
+                    ROOT
+                } else {
+                    SUB
+                };
+                let from = fs.parents.insert(DEEP, to).unwrap_or(ROOT);
+                duet.handle_rename(DEEP, from, true, &fs);
+                format!("rename_dir {} {}->{}", DEEP.raw(), from.raw(), to.raw())
+            }
+            20 if rng.gen_range(0, 2) == 0 => {
+                // Silent relocation (a cleaner migrating a mapped page):
+                // the next block fetch reports `moved_to`.
+                let ino = FILES[rng.gen_range(0, FILES.len() as u64) as usize];
+                let key = PageKey::new(ino, PageIndex(rng.gen_range(0, 16)));
+                if fs.fibmap.contains_key(&key) {
+                    let b = fs.alloc_block();
+                    fs.fibmap.insert(key, b);
+                }
+                format!(
+                    "relocate {}:{} -> {:?}",
+                    ino.raw(),
+                    key.index.raw(),
+                    fs.fibmap.get(&key).map(|b| b.raw())
+                )
+            }
+            20 => {
+                // Delete: the cache drops every page (Removed events),
+                // the mapping goes, then the VFS hook fires.
+                let ino = FILES[rng.gen_range(0, FILES.len() as u64) as usize];
+                let pages = fs.cached_pages_of(ino);
+                for m in &pages {
+                    fs.cache.remove(&m.key);
+                    duet.handle_page_event(*m, PageEvent::Removed, &fs);
+                }
+                fs.fibmap.retain(|k, _| k.ino != ino);
+                duet.handle_delete(ino);
+                format!("delete {} pages {}", ino.raw(), pages.len())
+            }
+            21 => {
+                let which = rng.gen_range(0, sids.len() as u64) as usize;
+                match sids[which] {
+                    Some(sid) if rng.gen_range(0, 3) == 0 => {
+                        let r = duet.churn_session(sid, &fs);
+                        format!("churn s{which} {r:?}")
+                    }
+                    Some(sid) => {
+                        let r = duet.deregister(sid);
+                        sids[which] = None;
+                        format!("deregister s{which} {r:?}")
+                    }
+                    None => {
+                        let (scope, mask) = specs[which];
+                        let r = duet.register(scope, mask, &fs);
+                        sids[which] = r.as_ref().ok().copied();
+                        format!("register s{which} -> {}", sid_str(sids[which]))
+                    }
+                }
+            }
+            _ => {
+                let cap = rng.gen_range(1, 7) as usize;
+                let keys: Vec<String> = duet
+                    .pending_pages(cap)
+                    .iter()
+                    .map(|k| format!("{}:{}", k.ino.raw(), k.index.raw()))
+                    .collect();
+                format!("pending {cap} -> [{}]", keys.join(" "))
+            }
+        };
+        let s = duet.stats();
+        out.push_str(&format!(
+            "{line} | n {} st {},{},{},{},{} mem {} d {}\n",
+            duet.descriptor_count(),
+            s.events_processed,
+            s.events_dropped,
+            s.fetch_calls,
+            s.items_fetched,
+            s.peak_descriptors,
+            duet.memory_bytes(),
+            duet.state_digest_hex()
+        ));
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn duet_oplog_is_seed_deterministic_and_covers_the_script() {
+        let a = duet_oplog(3, 600);
+        assert_eq!(a, duet_oplog(3, 600));
+        assert_ne!(a, duet_oplog(4, 600));
+        for op in [
+            "event Added",
+            "event Removed",
+            "event Dirtied",
+            "event Flushed",
+            "fetch s",
+            "done s",
+            "rename ",
+            "rename_dir ",
+            "delete ",
+            "relocate ",
+            "deregister ",
+            "pending ",
+        ] {
+            assert!(a.contains(op), "op mix never reaches {op:?}");
+        }
+    }
 
     #[test]
     fn extent_oplog_is_seed_deterministic() {

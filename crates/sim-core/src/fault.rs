@@ -243,22 +243,38 @@ pub fn replay_line(seed: u64, plan: &FaultPlan) -> String {
     )
 }
 
-/// Reads a fault seed from the environment variable `var` (decimal or
-/// `0x`-prefixed hex), falling back to `default` when unset or malformed.
-/// Used by the fault-matrix suite to honour `DUET_FAULT_SEED`.
-pub fn seed_from_env(var: &str, default: u64) -> u64 {
-    match std::env::var(var) {
-        Ok(raw) => {
-            let raw = raw.trim();
-            let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                raw.parse()
-            };
-            parsed.unwrap_or(default)
-        }
-        Err(_) => default,
+/// Reads a seed from the environment variable `var`: decimal or
+/// `0x`-prefixed hex, surrounding whitespace ignored. Unset means
+/// `default`. Any other value that is not a `u64` — empty, garbage, a
+/// bare `0x`, an overflow — is a [`SimError::InvalidArgument`] naming
+/// the variable and the value, so a rotating-seed run can never
+/// silently fall back to the pinned seed. The fault-matrix suite reads
+/// `DUET_FAULT_SEED` and the property/differential suites read
+/// `DUET_CHECK_SEED` through this.
+pub fn seed_from_env(var: &str, default: u64) -> SimResult<u64> {
+    let raw = match std::env::var(var) {
+        Err(std::env::VarError::NotPresent) => return Ok(default),
+        Ok(v) => v,
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    parse_seed(raw.trim()).ok_or_else(|| {
+        SimError::InvalidArgument(format!(
+            "{var} `{raw}` is not a decimal or 0x-prefixed hex u64 (unset means {default:#x})"
+        ))
+    })
+}
+
+/// Parses a seed: all decimal digits, or `0x` then all hex digits.
+/// No sign, no separators, no empty digit string.
+fn parse_seed(s: &str) -> Option<u64> {
+    let (digits, radix) = match s.strip_prefix("0x") {
+        Some(hex) => (hex, 16),
+        None => (s, 10),
+    };
+    if digits.is_empty() || !digits.chars().all(|c| c.is_digit(radix)) {
+        return None;
     }
+    u64::from_str_radix(digits, radix).ok()
 }
 
 /// Turns a `(seed, plan)` pair into concrete, replayable injection
@@ -471,10 +487,57 @@ mod tests {
         assert!(line.contains("disk-eio=80000"), "{line}");
     }
 
+    // One variable per test: tests run in parallel threads of one
+    // process, and the environment is shared between them.
+
     #[test]
-    fn seed_env_parsing() {
-        // No env var set in tests: fall back to the default.
-        assert_eq!(seed_from_env("DUET_FAULT_SEED_UNSET_FOR_TEST", 42), 42);
+    fn seed_env_unset_gives_default() {
+        assert_eq!(seed_from_env("DUET_SEED_TEST_UNSET", 42), Ok(42));
+    }
+
+    #[test]
+    fn seed_env_decimal() {
+        std::env::set_var("DUET_SEED_TEST_DECIMAL", " 12345 ");
+        assert_eq!(seed_from_env("DUET_SEED_TEST_DECIMAL", 42), Ok(12345));
+    }
+
+    #[test]
+    fn seed_env_hex() {
+        std::env::set_var("DUET_SEED_TEST_HEX", "0xd0e7F457");
+        assert_eq!(seed_from_env("DUET_SEED_TEST_HEX", 42), Ok(0xD0E7_F457));
+    }
+
+    /// A malformed value is an error naming the variable and the value.
+    fn assert_rejected(var: &str, value: &str) {
+        std::env::set_var(var, value);
+        match seed_from_env(var, 42) {
+            Err(SimError::InvalidArgument(msg)) => {
+                assert!(msg.contains(var), "{msg}");
+                assert!(msg.contains(&format!("`{value}`")), "{msg}");
+            }
+            other => panic!("{var}={value:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn seed_env_garbage_is_an_error() {
+        assert_rejected("DUET_SEED_TEST_GARBAGE", "0xd0e7zz");
+    }
+
+    #[test]
+    fn seed_env_empty_is_an_error() {
+        assert_rejected("DUET_SEED_TEST_EMPTY", "");
+    }
+
+    #[test]
+    fn seed_env_bare_hex_prefix_is_an_error() {
+        assert_rejected("DUET_SEED_TEST_BARE_0X", "0x");
+    }
+
+    #[test]
+    fn seed_env_overflow_is_an_error() {
+        assert_rejected("DUET_SEED_TEST_OVERFLOW", "18446744073709551616");
+        assert_rejected("DUET_SEED_TEST_OVERFLOW_HEX", "0x1ffffffffffffffff");
     }
 
     #[test]

@@ -33,13 +33,17 @@ cargo run -q -p xtask -- lint
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
-echo "==> differential container fuzz (fixed seed)"
-# DOrdMap (and DMap) against their std oracles under a pinned base
-# seed: every case seed derives from it, and a failure prints the
-# shrunk op log plus the seed to replay. CI runs a second pass with a
-# rotating (but logged) DUET_CHECK_SEED, mirroring the fault-matrix
-# split below.
+echo "==> differential container fuzz + framework property tests (fixed seed)"
+# DOrdMap (and DMap) against their std oracles, and the Duet framework
+# against its notification reference model (several files, a block and
+# two file sessions, set_done and deregistration mid-stream), under a
+# pinned base seed: every case seed derives from it, and a failure
+# prints the seed to replay (plus the shrunk op log for the
+# differential). CI runs a second pass with a rotating (but logged)
+# DUET_CHECK_SEED, mirroring the fault-matrix split below. A malformed
+# DUET_CHECK_SEED fails the tests; it never falls back to the default.
 DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p sim-core --release --test omap_differential
+DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p duet --release --lib property_tests
 
 echo "==> fault matrix (fixed seed)"
 # The deterministic anchor: the full task × fault-plan grid under a

@@ -290,6 +290,23 @@ fn extent_oplog_matches_committed_fixture() {
     );
 }
 
+/// The scripted Duet framework op mix — four sessions (two block, two
+/// file, one held to a small descriptor limit) under page events,
+/// capped fetches, done marking, renames, deletes, deregistration and
+/// capped `pending_pages` — must replay the committed log exactly,
+/// including the full framework state digest after every op. This pins
+/// the descriptor store, its digest bytes and the `pending_pages` order
+/// across changes to its layout.
+#[test]
+fn duet_oplog_matches_committed_fixture() {
+    let got = duet_repro::experiments::golden::duet_oplog(0xD0E7, 4000);
+    assert_eq!(
+        got,
+        include_str!("fixtures/golden_duet_oplog.txt"),
+        "Duet framework op-mix log diverged from the committed golden fixture"
+    );
+}
+
 /// `DOrdMap` must be seed-independent by construction: its iteration
 /// order is the key order, whatever hash or fault seed the process
 /// carries. We pin that by replaying the extent op mix under several

@@ -16,8 +16,8 @@
 
 use bench::sweeps::{completed_cells, saved_cells};
 use experiments::golden::{
-    cache_event_log, duet_oplog, extent_oplog, fnv128_hex, golden_csv, golden_rsync_line,
-    prioqueue_pop_log,
+    cache_event_log, cache_scan_log, duet_oplog, extent_oplog, fnv128_hex, golden_csv,
+    golden_rsync_line, prioqueue_pop_log,
 };
 use experiments::{
     paper_scaled, run_experiment, run_experiment_traced, run_rsync_experiment, DeviceKind, TaskKind,
@@ -84,6 +84,11 @@ fn grid_lines(grid: &[Vec<f64>]) -> String {
 }
 
 fn main() -> ExitCode {
+    // The sweep grids below fan out on `DUET_JOBS` workers.
+    if let Err(e) = bench::pool::jobs_from_env("DUET_JOBS") {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let root_fixtures = std::path::Path::new("tests/fixtures");
     let bench_fixtures = std::path::Path::new("crates/bench/tests/fixtures");
     for d in [root_fixtures, bench_fixtures] {
@@ -187,6 +192,11 @@ fn main() -> ExitCode {
         root_fixtures,
         "golden_cache_events.txt",
         &cache_event_log(0xCAFE, 4000),
+    );
+    write(
+        root_fixtures,
+        "golden_cache_scan.txt",
+        &cache_scan_log(0x5CA7, 1200),
     );
     write(
         root_fixtures,

@@ -14,10 +14,16 @@ fn main() -> ExitCode {
         Some("defrag") => TaskKind::Defrag,
         _ => TaskKind::Scrub,
     };
-    let scale = args
-        .get(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| scale_from_env(128));
+    let scale = match args.get(2).and_then(|s| s.parse().ok()) {
+        Some(s) => s,
+        None => match scale_from_env(128) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("error: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+    };
     let overlap: f64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(1.0);
     println!("probe: {task:?} scale 1/{scale} overlap {overlap}");
     println!("util  mode      done    saved   task_rd   task_wr  achieved  wl_ops");

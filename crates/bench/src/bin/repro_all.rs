@@ -77,8 +77,14 @@ fn write_summary(
 }
 
 fn main() -> ExitCode {
-    let scale = scale_from_env(64);
-    let jobs = pool::jobs();
+    let knobs = scale_from_env(64).and_then(|s| Ok((s, pool::jobs_from_env("DUET_JOBS")?)));
+    let (scale, jobs) = match knobs {
+        Ok(k) => k,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let selected: Vec<&'static HarnessSpec> = if args.is_empty() {
         figs::ALL.iter().collect()

@@ -17,13 +17,31 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Reads the scale factor from `DUET_SCALE`, with a per-harness default.
-pub fn scale_from_env(default: u64) -> u64 {
-    std::env::var("DUET_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(default)
+/// Reads a positive integer from the environment variable `var`:
+/// decimal digits, surrounding whitespace ignored. Unset is `None`.
+/// Anything else — empty, garbage, a sign, zero, an overflow — is a
+/// [`BenchError::InvalidEnv`] naming the variable and the value, so a
+/// mistyped knob never silently runs the default. `unset` says what
+/// unset means, for the message.
+pub fn positive_from_env(var: &str, unset: &str) -> BenchResult<Option<u64>> {
+    let raw = match std::env::var(var) {
+        Err(std::env::VarError::NotPresent) => return Ok(None),
+        Ok(v) => v,
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    let digits = raw.trim();
+    match digits.parse::<u64>() {
+        Ok(n) if n >= 1 && digits.bytes().all(|b| b.is_ascii_digit()) => Ok(Some(n)),
+        _ => Err(BenchError::InvalidEnv(format!(
+            "{var} `{raw}` is not a positive decimal integer (unset means {unset})"
+        ))),
+    }
+}
+
+/// Reads the scale factor from `DUET_SCALE`, with a per-harness default
+/// when unset; a malformed value is an error.
+pub fn scale_from_env(default: u64) -> BenchResult<u64> {
+    Ok(positive_from_env("DUET_SCALE", &default.to_string())?.unwrap_or(default))
 }
 
 /// Errors a harness can produce.
@@ -35,6 +53,8 @@ pub enum BenchError {
     Io(std::io::Error),
     /// `repro_all` was asked for a harness that does not exist.
     UnknownHarness(String),
+    /// An environment knob holds a malformed value.
+    InvalidEnv(String),
 }
 
 impl fmt::Display for BenchError {
@@ -43,6 +63,7 @@ impl fmt::Display for BenchError {
             BenchError::Sim(e) => write!(f, "experiment failed: {e}"),
             BenchError::Io(e) => write!(f, "writing results failed: {e}"),
             BenchError::UnknownHarness(name) => write!(f, "unknown harness: {name}"),
+            BenchError::InvalidEnv(msg) => f.write_str(msg),
         }
     }
 }
@@ -65,12 +86,16 @@ impl From<std::io::Error> for BenchError {
 pub type BenchResult<T> = Result<T, BenchError>;
 
 /// Entry point shared by the harness binaries: reads `DUET_SCALE`
-/// (with the harness's default), runs the body against a live console
-/// sink, and maps errors to a message on stderr plus a nonzero exit —
-/// a failed sweep cell must not abort mid-CSV with a panic.
+/// (with the harness's default) and checks `DUET_JOBS`, runs the body
+/// against a live console sink, and maps errors to a message on stderr
+/// plus a nonzero exit — a failed sweep cell must not abort mid-CSV
+/// with a panic, and a malformed knob must not run at all.
 pub fn run_main(default_scale: u64, run: fn(u64, &mut Sink) -> BenchResult<()>) -> ExitCode {
     let mut sink = Sink::live();
-    match run(scale_from_env(default_scale), &mut sink) {
+    let outcome = pool::jobs_from_env("DUET_JOBS")
+        .and_then(|_| scale_from_env(default_scale))
+        .and_then(|scale| run(scale, &mut sink));
+    match outcome {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -224,12 +249,57 @@ pub fn f2(x: f64) -> String {
 mod tests {
     use super::*;
 
+    // One variable per test: tests run in parallel threads of one
+    // process, and the environment is shared between them.
+
     #[test]
-    fn scale_default_applies() {
-        // The env var is not set under `cargo test`.
-        if std::env::var("DUET_SCALE").is_err() {
-            assert_eq!(scale_from_env(32), 32);
+    fn scale_env_unset_is_none() {
+        assert!(matches!(
+            positive_from_env("DUET_SCALE_TEST_UNSET", "32"),
+            Ok(None)
+        ));
+    }
+
+    #[test]
+    fn scale_env_valid() {
+        std::env::set_var("DUET_SCALE_TEST_VALID", " 256 ");
+        assert!(matches!(
+            positive_from_env("DUET_SCALE_TEST_VALID", "32"),
+            Ok(Some(256))
+        ));
+    }
+
+    /// A malformed value is an error naming the variable and the value.
+    fn assert_scale_rejected(var: &str, value: &str) {
+        std::env::set_var(var, value);
+        match positive_from_env(var, "32") {
+            Err(BenchError::InvalidEnv(msg)) => {
+                assert!(msg.contains(var), "{msg}");
+                assert!(msg.contains(&format!("`{value}`")), "{msg}");
+            }
+            other => panic!("{var}={value:?} gave {other:?}"),
         }
+    }
+
+    #[test]
+    fn scale_env_garbage_is_an_error() {
+        assert_scale_rejected("DUET_SCALE_TEST_GARBAGE", "64x");
+        assert_scale_rejected("DUET_SCALE_TEST_SIGN", "+64");
+    }
+
+    #[test]
+    fn scale_env_empty_is_an_error() {
+        assert_scale_rejected("DUET_SCALE_TEST_EMPTY", "");
+    }
+
+    #[test]
+    fn scale_env_zero_is_an_error() {
+        assert_scale_rejected("DUET_SCALE_TEST_ZERO", "0");
+    }
+
+    #[test]
+    fn scale_env_overflow_is_an_error() {
+        assert_scale_rejected("DUET_SCALE_TEST_OVERFLOW", "18446744073709551616");
     }
 
     #[test]

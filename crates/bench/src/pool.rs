@@ -23,21 +23,31 @@
 //! the default width capped at the core count the OS time-slices them
 //! fairly and the wall-clock cost is negligible next to cell runtime.
 
+use crate::{BenchError, BenchResult};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count: `DUET_JOBS` if set (minimum 1), else the machine's
-/// available parallelism, else 1.
-pub fn jobs() -> usize {
-    if let Some(j) = std::env::var("DUET_JOBS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        return j.max(1);
+/// Worker count from the environment variable `var`: a positive
+/// decimal integer, else (unset) the machine's available parallelism,
+/// else 1. Garbage, empty, zero and overflow are errors naming the
+/// variable and the value.
+pub fn jobs_from_env(var: &str) -> BenchResult<usize> {
+    match crate::positive_from_env(var, "the available parallelism")? {
+        Some(j) => usize::try_from(j).map_err(|_| {
+            BenchError::InvalidEnv(format!("{var} `{j}` does not fit a worker count"))
+        }),
+        None => Ok(std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+}
+
+/// Worker count from `DUET_JOBS` (see [`jobs_from_env`]). The binaries
+/// check the variable before any work starts and exit with its error,
+/// so the panic here is only reachable from a library caller that
+/// skipped that check.
+pub fn jobs() -> usize {
+    jobs_from_env("DUET_JOBS").unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs `f(0..n)` on up to `jobs` workers and returns the results in
@@ -147,10 +157,50 @@ mod tests {
         assert_eq!(r, Ok((0..31).collect()));
     }
 
+    // One variable per test (the environment is process-wide). These
+    // only parse: no pool is built from a test value.
+
     #[test]
-    fn jobs_env_overrides() {
-        // `jobs()` reads the environment; only assert the invariant
-        // that holds regardless of the test environment.
-        assert!(jobs() >= 1);
+    fn jobs_env_unset_gives_available_parallelism() {
+        let n = jobs_from_env("DUET_JOBS_TEST_UNSET").unwrap();
+        assert!(n >= 1);
+    }
+
+    #[test]
+    fn jobs_env_valid() {
+        std::env::set_var("DUET_JOBS_TEST_VALID", "3");
+        assert_eq!(jobs_from_env("DUET_JOBS_TEST_VALID").unwrap(), 3);
+    }
+
+    /// A malformed value is an error naming the variable and the value.
+    fn assert_jobs_rejected(var: &str, value: &str) {
+        std::env::set_var(var, value);
+        match jobs_from_env(var) {
+            Err(BenchError::InvalidEnv(msg)) => {
+                assert!(msg.contains(var), "{msg}");
+                assert!(msg.contains(&format!("`{value}`")), "{msg}");
+            }
+            other => panic!("{var}={value:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jobs_env_garbage_is_an_error() {
+        assert_jobs_rejected("DUET_JOBS_TEST_GARBAGE", "two");
+    }
+
+    #[test]
+    fn jobs_env_empty_is_an_error() {
+        assert_jobs_rejected("DUET_JOBS_TEST_EMPTY", "");
+    }
+
+    #[test]
+    fn jobs_env_zero_is_an_error() {
+        assert_jobs_rejected("DUET_JOBS_TEST_ZERO", "0");
+    }
+
+    #[test]
+    fn jobs_env_overflow_is_an_error() {
+        assert_jobs_rejected("DUET_JOBS_TEST_OVERFLOW", "18446744073709551616");
     }
 }

@@ -191,6 +191,211 @@ pub fn cache_event_log(seed: u64, ops: u64) -> String {
     out
 }
 
+/// Scripted page-cache op mix at a capacity above the eviction scan
+/// bound (`CLEAN_SCAN`, 1024 entries), serialized op by op. Where
+/// [`cache_event_log`] drives a 64-page cache, this one drives 1536
+/// pages with the traffic that stresses victim choice: runs of 64–256
+/// clean misses (a file read), dirty bursts long enough that more than
+/// 1024 dirty pages precede the first clean one (so eviction takes the
+/// all-dirty fallback), hit lookups, `mark_dirty`, background
+/// writeback, fsync-style flushes, removals, advisory protection and
+/// an eviction-storm / writeback-failure fault plan with a pinned
+/// seed. Each op logs its evicted list (run-length encoded, lossless),
+/// its drained events (count plus a digest of their exact rendering)
+/// and the resulting size and dirty count; the log ends with the
+/// statistics and the cache's state digest.
+pub fn cache_scan_log(seed: u64, ops: u64) -> String {
+    use sim_cache::{PageCache, PageEvent, PageKey, PageMeta};
+    use sim_core::fault::{FaultHandle, FaultPlan, FaultSite};
+    use sim_core::snapshot::StateDigest;
+    use sim_core::{BlockNr, InodeNr, PageIndex, SimRng};
+
+    const CAPACITY: usize = 1536;
+    const FILES: u64 = 12;
+    const PAGES: u64 = 4096;
+    let mut rng = SimRng::new(seed);
+    let mut c = PageCache::new(CAPACITY);
+    c.set_faults(Some(FaultHandle::new(
+        0x5CA9,
+        FaultPlan::quiet()
+            .with_ppm(FaultSite::CacheEvictionStorm, 1_000)
+            .with_ppm(FaultSite::CacheWritebackFail, 50_000),
+    )));
+    // Read blocks follow the key, so a sequential run's blocks are
+    // consecutive and its evictions compress to a few runs.
+    let read_block = |k: PageKey| Some(BlockNr(k.ino.raw() * PAGES + k.index.raw()));
+    // Runs of consecutive pages of one file with the same dirty flag
+    // and consecutive (or all-unallocated) blocks render as one entry.
+    let runs_str = |metas: &[PageMeta]| {
+        let mut out = String::new();
+        let mut i = 0;
+        while i < metas.len() {
+            let first = metas[i];
+            let mut n = 1;
+            while i + n < metas.len() {
+                let (prev, m) = (metas[i + n - 1], metas[i + n]);
+                let block_next = match (prev.block, m.block) {
+                    (None, None) => true,
+                    (Some(a), Some(b)) => b.raw() == a.raw() + 1,
+                    _ => false,
+                };
+                if m.key.ino != first.key.ino
+                    || m.key.index.raw() != prev.key.index.raw() + 1
+                    || m.dirty != first.dirty
+                    || !block_next
+                {
+                    break;
+                }
+                n += 1;
+            }
+            out.push_str(&format!(
+                " {}:{}+{}:{}:{}",
+                first.key.ino.raw(),
+                first.key.index.raw(),
+                n,
+                first.block.map(|b| b.raw() as i64).unwrap_or(-1),
+                u8::from(first.dirty)
+            ));
+            i += n;
+        }
+        out
+    };
+    let mut evicted = Vec::new();
+    let mut last_read = (InodeNr(1), 0u64, 1u64);
+    let mut out = String::new();
+    for _ in 0..ops {
+        evicted.clear();
+        let ino = InodeNr(rng.gen_range(1, FILES + 1));
+        let start = rng.gen_range(0, PAGES);
+        let line = match rng.gen_range(0, 20) {
+            0..=7 => {
+                // A file read: lookup each page, insert the misses clean.
+                let len = rng.gen_range(64, 257);
+                let mut hits = 0;
+                for i in 0..len {
+                    let k = PageKey::new(ino, PageIndex((start + i) % PAGES));
+                    if c.lookup(k).is_some() {
+                        hits += 1;
+                    } else {
+                        c.insert_into(k, read_block(k), false, &mut evicted);
+                    }
+                }
+                last_read = (ino, start, len);
+                format!("read {}:{start}+{len} hits {hits}", ino.raw())
+            }
+            8 => {
+                // A dirty burst (delayed allocation: no blocks yet).
+                let len = rng.gen_range(1024, 1400);
+                for i in 0..len {
+                    let k = PageKey::new(ino, PageIndex((start + i) % PAGES));
+                    c.insert_into(k, None, true, &mut evicted);
+                }
+                format!("burst {}:{start}+{len}", ino.raw())
+            }
+            9..=10 => {
+                let len = rng.gen_range(1, 33);
+                for i in 0..len {
+                    let k = PageKey::new(ino, PageIndex((start + i) % PAGES));
+                    c.insert_into(k, read_block(k), true, &mut evicted);
+                }
+                format!("write {}:{start}+{len}", ino.raw())
+            }
+            11..=12 => {
+                // Re-reads inside the last read run: mostly hits.
+                let (rino, rstart, rlen) = last_read;
+                let mut pattern = String::new();
+                for _ in 0..16 {
+                    let k =
+                        PageKey::new(rino, PageIndex((rstart + rng.gen_range(0, rlen)) % PAGES));
+                    pattern.push(if c.lookup(k).is_some() { 'h' } else { 'm' });
+                }
+                format!("lookup {pattern}")
+            }
+            13 => {
+                let (rino, rstart, rlen) = last_read;
+                let mut pattern = String::new();
+                for _ in 0..rng.gen_range(1, 17) {
+                    let k =
+                        PageKey::new(rino, PageIndex((rstart + rng.gen_range(0, rlen)) % PAGES));
+                    pattern.push(if c.mark_dirty(k) { 'd' } else { '-' });
+                }
+                format!("dirty {pattern}")
+            }
+            14..=15 => {
+                let batch = c.writeback_batch(rng.gen_range(1, 513) as usize);
+                format!("writeback{}", runs_str(&batch))
+            }
+            16 => {
+                let flushed = c.flush_file(ino);
+                format!("flush_file {}{}", ino.raw(), runs_str(&flushed))
+            }
+            17 => {
+                if rng.gen_range(0, 3) == 0 {
+                    let removed = c.remove_file(ino);
+                    format!("remove_file {} {}", ino.raw(), removed.len())
+                } else {
+                    let (rino, rstart, rlen) = last_read;
+                    let k =
+                        PageKey::new(rino, PageIndex((rstart + rng.gen_range(0, rlen)) % PAGES));
+                    let removed = c.remove(k);
+                    format!("remove {}", runs_str(removed.as_slice()))
+                }
+            }
+            _ => {
+                // Advisory protection over a slice of the last read run
+                // (sometimes cleared), capped below the run length.
+                let (rino, rstart, rlen) = last_read;
+                let n = if rng.gen_range(0, 4) == 0 { 0 } else { rlen };
+                let max = rng.gen_range(0, 385) as usize;
+                c.set_protected(
+                    (0..n).map(|i| PageKey::new(rino, PageIndex((rstart + i) % PAGES))),
+                    max,
+                );
+                format!("protect {}", c.protected_len())
+            }
+        };
+        let events = c.drain_events();
+        let mut rendered = String::new();
+        let mut kinds = [0usize; 4];
+        for (m, e) in &events {
+            kinds[match e {
+                PageEvent::Added => 0,
+                PageEvent::Removed => 1,
+                PageEvent::Dirtied => 2,
+                PageEvent::Flushed => 3,
+            }] += 1;
+            rendered.push_str(&format!(
+                "{}:{}:{}:{}={:?} ",
+                m.key.ino.raw(),
+                m.key.index.raw(),
+                m.block.map(|b| b.raw() as i64).unwrap_or(-1),
+                m.dirty,
+                e
+            ));
+        }
+        out.push_str(&format!(
+            "{line} | evicted {}{} | events {} a{} r{} d{} f{} {} | len {} dirty {}\n",
+            evicted.len(),
+            runs_str(&evicted),
+            events.len(),
+            kinds[0],
+            kinds[1],
+            kinds[2],
+            kinds[3],
+            fnv128_hex(rendered.as_bytes()),
+            c.len(),
+            c.dirty_len()
+        ));
+    }
+    let s = c.stats();
+    out.push_str(&format!(
+        "stats {} {} {} {} {}\n",
+        s.hits, s.misses, s.insertions, s.evictions, s.writebacks
+    ));
+    out.push_str(&format!("digest {}\n", c.state_digest_hex()));
+    out
+}
+
 /// Scripted priority-queue op mix: upserts, removes and pops with
 /// plenty of priority ties, serialized pop by pop. Pins the documented
 /// tie-break order (max priority, ties by largest key) across the
@@ -692,6 +897,36 @@ mod tests {
         ] {
             assert!(a.contains(op), "op mix never reaches {op:?}");
         }
+    }
+
+    #[test]
+    fn cache_scan_log_is_seed_deterministic_and_covers_the_script() {
+        let a = cache_scan_log(5, 300);
+        assert_eq!(a, cache_scan_log(5, 300));
+        assert_ne!(a, cache_scan_log(6, 300));
+        for op in [
+            "read ",
+            "burst ",
+            "write ",
+            "lookup ",
+            "dirty ",
+            "writeback",
+            "flush_file ",
+            "remove",
+            "protect ",
+        ] {
+            assert!(a.contains(op), "op mix never reaches {op:?}");
+        }
+        // A read inserts only clean pages, so a dirty victim during one
+        // means every page within the scan bound was dirty: the
+        // all-dirty fallback fired.
+        assert!(
+            a.lines().filter(|l| l.starts_with("read ")).any(|l| l
+                .split(" | ")
+                .nth(1)
+                .is_some_and(|ev| ev.contains(":1 ") || ev.ends_with(":1"))),
+            "no read ever took the all-dirty fallback"
+        );
     }
 
     #[test]

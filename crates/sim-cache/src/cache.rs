@@ -53,6 +53,22 @@ struct Node {
     ino_pos: u32,
 }
 
+/// Where the last eviction's victim search stopped, so the next one
+/// can resume instead of re-walking the same LRU prefix (DESIGN.md
+/// §14.6). Valid only while that prefix is unchanged: every list change
+/// other than a tail insert or the cursor's own victim removal drops it.
+#[derive(Debug, Clone, Copy)]
+struct ScanCursor {
+    /// LRU successor of the last clean, unprotected victim; the next
+    /// walk starts here.
+    next: u32,
+    /// Number of LRU entries before `next`. All are dirty or clean
+    /// and protected.
+    seen: usize,
+    /// The first clean, protected page among them, or `NIL`.
+    clean_protected: u32,
+}
+
 /// An LRU page cache with dirty tracking and an event queue.
 ///
 /// # Examples
@@ -102,6 +118,9 @@ pub struct PageCache {
     /// protected page is still evicted when nothing else is available,
     /// so this never degenerates into pinning (which §3.1 avoids).
     protected: DSet<PageKey>,
+    /// Resume point of the clean-victim search. Derived state: the
+    /// digest leaves it out, since a fresh walk picks the same victim.
+    scan_cursor: Option<ScanCursor>,
     /// Fault-injection handle; `None` (or a quiet plan) behaves
     /// byte-identically to an unfaulted cache.
     faults: Option<FaultHandle>,
@@ -133,6 +152,7 @@ impl PageCache {
             stats: CacheStats::default(),
             per_ino: DMap::new(),
             protected: DSet::new(),
+            scan_cursor: None,
             faults: None,
             trace: None,
         }
@@ -154,6 +174,7 @@ impl PageCache {
     /// Keys beyond `max` are ignored so protection can never cover the
     /// whole cache.
     pub fn set_protected<I: IntoIterator<Item = PageKey>>(&mut self, keys: I, max: usize) {
+        self.scan_cursor = None;
         self.protected.clear();
         for k in keys.into_iter().take(max) {
             self.protected.insert(k);
@@ -296,6 +317,7 @@ impl PageCache {
     /// Refreshes a page's recency: moves it to the LRU tail, and — as
     /// the tick-keyed maps did — to the dirty tail if dirty.
     fn touch_handle(&mut self, h: u32) {
+        self.scan_cursor = None;
         self.lru_unlink(h);
         self.lru_push_tail(h);
         if self.slab[h].dirty {
@@ -436,10 +458,17 @@ impl PageCache {
             let scan = Self::CLEAN_SCAN
                 .min(self.index.len().saturating_sub(1))
                 .max(1);
-            let mut clean_protected = NIL;
+            // Resume after the previous clean victim when the cursor
+            // survived: the entries before it are the same ones a walk
+            // from the head would pass over, so it picks the same page.
+            // They were fewer than the scan bound then, and the list has
+            // lost at most that victim since, so they still are.
+            let (mut h, mut seen, mut clean_protected) = match self.scan_cursor {
+                Some(cur) => (cur.next, cur.seen, cur.clean_protected),
+                None => (self.lru_head, 0, NIL),
+            };
+            debug_assert!(seen <= scan, "scan cursor beyond the scan bound");
             let mut chosen = NIL;
-            let mut h = self.lru_head;
-            let mut seen = 0usize;
             while h != NIL && seen < scan {
                 let node = &self.slab[h];
                 if !node.dirty {
@@ -470,6 +499,15 @@ impl PageCache {
                 break;
             }
             let node = self.detach(victim);
+            // Only a first-choice victim leaves the entries before it
+            // untouched; after a fallback the next walk starts cold.
+            if chosen != NIL {
+                self.scan_cursor = Some(ScanCursor {
+                    next: node.next,
+                    seen,
+                    clean_protected,
+                });
+            }
             let before = Self::node_meta(&node);
             if node.dirty {
                 self.stats.writebacks += 1;
@@ -494,6 +532,7 @@ impl PageCache {
     /// drops the key index and per-file entry, frees the slab slot.
     /// Returns the node's final state.
     fn detach(&mut self, h: u32) -> Node {
+        self.scan_cursor = None;
         self.lru_unlink(h);
         if self.slab[h].in_dirty {
             self.dirty_unlink(h);
@@ -557,6 +596,7 @@ impl PageCache {
                     continue;
                 }
             }
+            self.scan_cursor = None;
             self.dirty_unlink(h);
             self.slab[h].dirty = false;
             self.stats.writebacks += 1;
@@ -583,6 +623,7 @@ impl PageCache {
         victims.sort_unstable_by_key(|&(idx, _)| idx);
         let mut out = Vec::with_capacity(victims.len());
         for (_, h) in victims {
+            self.scan_cursor = None;
             self.dirty_unlink(h);
             self.slab[h].dirty = false;
             self.stats.writebacks += 1;

@@ -63,7 +63,7 @@ fn main() -> ExitCode {
         return usage();
     }
     let mut format = "text".to_string();
-    let mut jobs = xtask::pool::jobs();
+    let mut jobs = None;
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         if let Some(f) = arg.strip_prefix("--format=") {
@@ -72,7 +72,7 @@ fn main() -> ExitCode {
             format = rest.next().cloned().unwrap_or_default();
         } else if let Some(j) = arg.strip_prefix("--jobs=") {
             match j.parse::<usize>() {
-                Ok(n) if n >= 1 => jobs = n,
+                Ok(n) if n >= 1 => jobs = Some(n),
                 _ => return usage(),
             }
         } else if let Some(r) = arg.strip_prefix("--explain=") {
@@ -91,6 +91,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
+    // `--jobs` wins; otherwise `DUET_JOBS`, where a malformed value is
+    // an error, never a silent fallback to the default width.
+    let jobs = match jobs.map_or_else(|| xtask::pool::jobs_from_env("DUET_JOBS"), Ok) {
+        Ok(j) => j,
+        Err(e) => {
+            eprintln!("xtask lint: {e}");
+            return ExitCode::from(2);
+        }
+    };
     let root = workspace_root();
     match run_lint_with(&root, jobs) {
         Ok(report) => {

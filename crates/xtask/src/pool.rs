@@ -11,18 +11,28 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count: `DUET_JOBS` if set (minimum 1), else the machine's
-/// available parallelism, else 1.
-pub fn jobs() -> usize {
-    if let Some(j) = std::env::var("DUET_JOBS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        return j.max(1);
+/// Worker count from the environment variable `var`: a positive
+/// decimal integer (surrounding whitespace ignored), else (unset) the
+/// machine's available parallelism, else 1. Garbage, empty, zero and
+/// overflow are errors naming the variable and the value.
+pub fn jobs_from_env(var: &str) -> Result<usize, String> {
+    let raw = match std::env::var(var) {
+        Err(std::env::VarError::NotPresent) => {
+            return Ok(std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1))
+        }
+        Ok(v) => v,
+        Err(std::env::VarError::NotUnicode(raw)) => raw.to_string_lossy().into_owned(),
+    };
+    let digits = raw.trim();
+    match digits.parse::<usize>() {
+        Ok(n) if n >= 1 && digits.bytes().all(|b| b.is_ascii_digit()) => Ok(n),
+        _ => Err(format!(
+            "{var} `{raw}` is not a positive decimal integer \
+             (unset means the available parallelism)"
+        )),
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Runs `f(0..n)` on up to `jobs` workers and returns the results in
@@ -76,6 +86,53 @@ mod tests {
         for jobs in [1, 2, 4, 9] {
             assert_eq!(run_indexed(53, jobs, |i| i * 7), sequential, "jobs={jobs}");
         }
+    }
+
+    // One variable per test (the environment is process-wide). These
+    // only parse: no pool is built from a test value.
+
+    #[test]
+    fn jobs_env_unset_gives_available_parallelism() {
+        assert!(jobs_from_env("XTASK_JOBS_TEST_UNSET").unwrap() >= 1);
+    }
+
+    #[test]
+    fn jobs_env_valid() {
+        std::env::set_var("XTASK_JOBS_TEST_VALID", " 2 ");
+        assert_eq!(jobs_from_env("XTASK_JOBS_TEST_VALID"), Ok(2));
+    }
+
+    /// A malformed value is an error naming the variable and the value.
+    fn assert_jobs_rejected(var: &str, value: &str) {
+        std::env::set_var(var, value);
+        match jobs_from_env(var) {
+            Err(msg) => {
+                assert!(msg.contains(var), "{msg}");
+                assert!(msg.contains(&format!("`{value}`")), "{msg}");
+            }
+            other => panic!("{var}={value:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jobs_env_garbage_is_an_error() {
+        assert_jobs_rejected("XTASK_JOBS_TEST_GARBAGE", "4cores");
+        assert_jobs_rejected("XTASK_JOBS_TEST_SIGN", "+4");
+    }
+
+    #[test]
+    fn jobs_env_empty_is_an_error() {
+        assert_jobs_rejected("XTASK_JOBS_TEST_EMPTY", "");
+    }
+
+    #[test]
+    fn jobs_env_zero_is_an_error() {
+        assert_jobs_rejected("XTASK_JOBS_TEST_ZERO", "0");
+    }
+
+    #[test]
+    fn jobs_env_overflow_is_an_error() {
+        assert_jobs_rejected("XTASK_JOBS_TEST_OVERFLOW", "18446744073709551616");
     }
 
     #[test]

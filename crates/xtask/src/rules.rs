@@ -681,5 +681,5 @@ pub fn run_lint_with(root: &Path, jobs: usize) -> Result<LintReport, String> {
 /// Lints the whole workspace rooted at `root` (worker count from
 /// `DUET_JOBS` / available parallelism).
 pub fn run_lint(root: &Path) -> Result<LintReport, String> {
-    run_lint_with(root, crate::pool::jobs())
+    run_lint_with(root, crate::pool::jobs_from_env("DUET_JOBS")?)
 }

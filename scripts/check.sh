@@ -34,9 +34,12 @@ echo "==> cargo test --workspace"
 cargo test -q --workspace
 
 echo "==> differential container fuzz + framework property tests (fixed seed)"
-# DOrdMap (and DMap) against their std oracles, and the Duet framework
+# DOrdMap (and DMap) against their std oracles, the Duet framework
 # against its notification reference model (several files, a block and
-# two file sessions, set_done and deregistration mid-stream), under a
+# two file sessions, set_done and deregistration mid-stream), and the
+# page cache's resumable victim search against a restart-from-head
+# walk over a plain LRU vector (small caches and ones above the scan
+# bound, protection, eviction storms, writeback failures), under a
 # pinned base seed: every case seed derives from it, and a failure
 # prints the seed to replay (plus the shrunk op log for the
 # differential). CI runs a second pass with a rotating (but logged)
@@ -44,6 +47,7 @@ echo "==> differential container fuzz + framework property tests (fixed seed)"
 # DUET_CHECK_SEED fails the tests; it never falls back to the default.
 DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p sim-core --release --test omap_differential
 DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p duet --release --lib property_tests
+DUET_CHECK_SEED=0xd1ffba5e cargo test -q -p sim-cache --release --test victim_reference
 
 echo "==> fault matrix (fixed seed)"
 # The deterministic anchor: the full task × fault-plan grid under a

@@ -261,6 +261,22 @@ fn cache_event_log_matches_committed_fixture() {
     );
 }
 
+/// The large-cache op mix — a 1536-page cache, above the eviction scan
+/// bound, with dirty bursts that force the all-dirty fallback, clean
+/// read runs, protection and an eviction-storm fault plan — must replay
+/// the committed log exactly. The fixture was captured before the
+/// resumable victim search (DESIGN.md §14.6) and pins that every
+/// eviction still picks the page a restart-from-head walk would.
+#[test]
+fn cache_scan_log_matches_committed_fixture() {
+    let got = duet_repro::experiments::golden::cache_scan_log(0x5CA7, 1200);
+    assert_eq!(
+        got,
+        include_str!("fixtures/golden_cache_scan.txt"),
+        "large-cache victim-search log diverged from the committed golden fixture"
+    );
+}
+
 /// The scripted priority-queue op mix — with deliberate priority ties —
 /// must replay the committed pop/peek log exactly, pinning the
 /// documented tie-break (max priority, ties by largest key) across
